@@ -20,6 +20,7 @@ from typing import Optional
 
 import numpy as np
 
+from repro.baselines.saopt import remote_totals, saopt_pr_counts
 from repro.config import NetSparseConfig
 from repro.partition import OneDPartition, cached_partition
 from repro.results import CommResult
@@ -36,22 +37,31 @@ class HybridSplit:
     n_sa_columns: int             # distinct remote columns on the SA path
     su_bytes_per_node: float
     sa_prs_per_node: np.ndarray
+    su_columns: np.ndarray        # boolean mask of the broadcast columns
 
 
-def _column_fanout(part: OneDPartition) -> np.ndarray:
-    """For each column, how many *other* nodes need it at least once.
+def _column_fanout(part: OneDPartition):
+    """For each column, how many *other* nodes need it at least once;
+    plus, for every (node, distinct remote column) pair, the node and
+    that column's fan-out — what per-node split counts select from.
 
     Memoized on the partition: threshold tuning recomputes the same
     fan-out for every candidate, and traces never change once built.
     """
-    fanout = getattr(part, "_column_fanout", None)
-    if fanout is not None:
-        return fanout
+    memo = getattr(part, "_column_fanout", None)
+    if memo is not None:
+        return memo
+    traces = part.node_traces()
     fanout = np.zeros(part.matrix.n_cols, dtype=np.int64)
-    for tr in part.node_traces():
+    for tr in traces:
         fanout[tr.remote_unique] += 1
-    part._column_fanout = fanout
-    return fanout
+    pair_nodes = np.repeat(np.arange(part.n_nodes),
+                           [tr.remote_unique.size for tr in traces])
+    pair_fanout = fanout[np.concatenate([tr.remote_unique for tr in traces])]
+    for arr in (fanout, pair_nodes, pair_fanout):
+        arr.setflags(write=False)
+    memo = part._column_fanout = (fanout, pair_nodes, pair_fanout)
+    return memo
 
 
 def split_columns(
@@ -66,12 +76,10 @@ def split_columns(
     config = config or NetSparseConfig()
     part = partition or cached_partition(matrix, n_nodes)
     payload = config.property_bytes(k)
-    fanout = _column_fanout(part)
+    fanout, pair_nodes, pair_fanout = _column_fanout(part)
     su_cols = fanout > threshold
-
-    sa_prs = np.zeros(n_nodes, dtype=np.int64)
-    for node, tr in enumerate(part.node_traces()):
-        sa_prs[node] = int((~su_cols[tr.remote_unique]).sum())
+    sa_prs = np.bincount(pair_nodes[pair_fanout <= threshold],
+                         minlength=n_nodes)
 
     return HybridSplit(
         threshold=threshold,
@@ -79,6 +87,7 @@ def split_columns(
         n_sa_columns=int((fanout > 0).sum() - su_cols.sum()),
         su_bytes_per_node=float(su_cols.sum()) * payload,
         sa_prs_per_node=sa_prs,
+        su_columns=su_cols,
     )
 
 
@@ -109,24 +118,15 @@ def simulate_hybrid(
     # The SA tail uses exactly the SAOpt machinery (per-rank dedup and
     # serve imbalance, serve-side scale rule — see DESIGN.md), with the
     # broadcast columns excluded.
-    from repro.baselines.saopt import saopt_pr_counts
-
-    fanout = _column_fanout(part)
-    su_cols = fanout > threshold
     sent_ranks, served_ranks, _ = saopt_pr_counts(
-        matrix, config, exclude_cols=su_cols
+        matrix, config, exclude_cols=split.su_columns
     )
     pr_cost = config.sw_pr_cost(payload)
     sa_time = (sent_ranks + served_ranks * scale).max(axis=1) * pr_cost
     per_node_time = np.maximum(su_time, sa_time)
 
-    useful = np.zeros(n)
-    recv = np.zeros(n)
-    for node, tr in enumerate(part.node_traces()):
-        useful[node] = tr.unique_remote_count() * payload
-        recv[node] = split.su_bytes_per_node + (
-            split.sa_prs_per_node[node] * payload
-        )
+    unique_remote, n_candidates = remote_totals(part)
+    recv = split.su_bytes_per_node + split.sa_prs_per_node * payload
     return CommResult(
         scheme="hybrid",
         matrix_name=matrix.name,
@@ -136,11 +136,9 @@ def simulate_hybrid(
         per_node_time=per_node_time,
         recv_wire_bytes=recv,
         sent_wire_bytes=recv,   # symmetric under the ideal collective
-        useful_payload_bytes=useful,
+        useful_payload_bytes=(unique_remote * payload).astype(np.float64),
         link_bandwidth=config.link_bandwidth,
-        n_pr_candidates=int(
-            sum(t.remote.sum() for t in part.node_traces())
-        ),
+        n_pr_candidates=n_candidates,
         n_prs_issued=int(split.sa_prs_per_node.sum()),
         extras={"threshold": threshold,
                 "n_su_columns": split.n_su_columns},
