@@ -1,31 +1,23 @@
-"""Hot-path kernel backend selection: ``fast`` (array kernels),
-``reference`` (the original pure-Python implementations) or ``pool``
-(fast kernels with rack-level process fan-out).
+"""Hot-path kernel backend selection: ``fast`` (array kernels) or
+``reference`` (the original pure-Python implementations).
 
 The cluster model's inner loops — the delayed-insert Property Cache
 front-end, the RIG batch-dispatch makespan and the window
-concatenation aggregation — exist in implementations with
+concatenation aggregation — exist in two implementations with
 *bit-identical* semantics:
 
 - ``fast``       — array-backed kernels (:mod:`repro.core.pcache_fast`,
   the vectorized scans in :func:`repro.core.rig.rig_generation_time`
-  and :func:`repro.core.concat.window_concat`);
+  and :func:`repro.core.concat.window_concat`); the production path;
 - ``reference``  — the original per-element Python loops, kept as the
   executable specification the fast kernels are golden-tested against
-  (``tests/test_fast_kernels.py``);
-- ``pool``       — the fast kernels, with independent per-rack cache
-  replays fanned out across a forked
-  :class:`~concurrent.futures.ProcessPoolExecutor`
-  (:mod:`repro.core.poolexec`); falls back to serial execution inside
-  nested worker processes.  Reductions are identical to ``fast`` —
-  each rack's replay is an independent deterministic kernel.
+  (``tests/test_fast_kernels.py``).
 
-Because all backends produce the same bits, the choice is *not*
+Because both backends produce the same bits, the choice is *not*
 part of a simulation's identity: it never enters
 :meth:`repro.config.NetSparseConfig.digest` or a
 :class:`~repro.parallel.jobs.SimJob` cache key.  Select with
-``REPRO_KERNELS=reference`` (or ``pool``) in the environment, or
-programmatically:
+``REPRO_KERNELS=reference`` in the environment, or programmatically:
 
 >>> from repro.core import kernels
 >>> with kernels.use_backend("reference"):
@@ -43,11 +35,10 @@ __all__ = [
     "set_backend",
     "use_backend",
     "is_fast",
-    "is_pool",
 ]
 
 #: Recognized kernel backends.
-BACKENDS = ("fast", "reference", "pool")
+BACKENDS = ("fast", "reference")
 
 _backend = os.environ.get("REPRO_KERNELS", "fast")
 if _backend not in BACKENDS:
@@ -62,14 +53,8 @@ def get_backend() -> str:
 
 
 def is_fast() -> bool:
-    """True when the array-based fast kernels are active (the ``pool``
-    tier runs the same fast kernels, only fanned out)."""
-    return _backend != "reference"
-
-
-def is_pool() -> bool:
-    """True when rack-level process fan-out is requested."""
-    return _backend == "pool"
+    """True when the array-based fast kernels are active."""
+    return _backend == "fast"
 
 
 def set_backend(name: str) -> str:

@@ -35,11 +35,12 @@ driven by the reference front-end in ``tests/test_reusedist.py``
 (seeds x set geometries x ways x capacities x segmented line sizes).
 
 The profile is the scoring kernel behind the batch planner
-(:mod:`repro.parallel.batch`); the cluster model consults it when
-``REPRO_BATCH`` is enabled and falls back to
-:func:`repro.core.pcache_fast.delayed_cache_hits` verbatim for
-anything the profile cannot fold (the hit masks are identical either
-way — the profile only changes which loop produces them).
+(:mod:`repro.parallel.batch`): the cluster model's fast path builds
+one for a merged rack stream the second time a geometry is asked of
+it, and runs :func:`repro.core.pcache_fast.delayed_cache_hits`
+verbatim for the first request and for anything the profile cannot
+fold (the hit masks are identical either way — the profile only
+changes which loop produces them).
 """
 
 from __future__ import annotations

@@ -4,7 +4,7 @@ A sweep submits dozens of :class:`~repro.parallel.jobs.SimJob` records
 that differ only along *profile-compatible* knob axes — Property-Cache
 geometry (capacity / ways / line geometry / cache on-off), the RIG
 batch size, and the kernel width ``k``.  Jobs in such a group share
-their partition trace and every batch-mode memo the cluster model keeps
+their partition trace and every stage memo the cluster model keeps
 (:mod:`repro.cluster.model`): filter anchors, merged rack streams,
 reuse-distance profiles (:mod:`repro.core.reusedist`), scored hit
 masks and whole-simulation templates.  Evaluating the group's members
@@ -24,11 +24,12 @@ memos it may hit are bit-exact by construction (golden-tested in
 ``tests/test_reusedist.py`` / ``tests/test_batch_planner.py``).
 
 The engine (:meth:`ExecutionEngine._execute`) consults the planner
-whenever ``REPRO_BATCH`` is enabled: groups become the unit of fan-out
-(one worker evaluates a whole group so its members share the worker's
-memos), folded jobs are attributed ``source="batched"`` in the run
-ledger, and ``perf.batch.*`` telemetry reports groups formed, jobs
-folded and profile build/score seconds.
+whenever a run has more than one job to execute: groups become the
+unit of fan-out (one worker evaluates a whole group so its members
+share the worker's memos), folded jobs are attributed
+``source="batched"`` in the run ledger, and ``perf.batch.*``
+telemetry reports groups formed, jobs folded and profile build/score
+seconds.
 """
 
 from __future__ import annotations
@@ -37,11 +38,9 @@ import json
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
-from repro.core.batchmode import batch_enabled
 from repro.parallel.jobs import SimJob, timed_execute
 
-__all__ = ["BatchPlan", "batch_enabled", "execute_group", "group_key",
-           "plan_batches"]
+__all__ = ["BatchPlan", "execute_group", "group_key", "plan_batches"]
 
 #: Top-level ``key_dict`` axes a group may vary along.
 _JOB_AXES = ("k", "rig_batch")
@@ -136,7 +135,7 @@ def execute_group(jobs: Sequence[SimJob]) -> List[Tuple[object, float]]:
 
     Module-level and import-light so a process pool can map it: the
     worker that receives a group runs its members back-to-back, which
-    is exactly what lets the cluster model's batch memos fold the
+    is exactly what lets the cluster model's stage memos fold the
     shared stages.  Bit-identical to mapping :func:`timed_execute` over
     the members individually.
     """

@@ -25,7 +25,6 @@ from typing import Callable, Dict, List, Optional, Sequence
 from repro import telemetry
 from repro.config import NetSparseConfig
 from repro.core import reusedist
-from repro.core.batchmode import batch_enabled
 from repro.parallel.batch import execute_group, plan_batches
 from repro.parallel.cache import ResultCache
 from repro.parallel.jobs import SimJob, timed_execute
@@ -51,7 +50,7 @@ class EngineStats:
     memo_hits: int = 0       # answered from the in-process memo
     cache_hits: int = 0      # answered from the on-disk cache
     executed: int = 0        # actually simulated (cache misses)
-    batched: int = 0         # executed as a fused-group rider (REPRO_BATCH)
+    batched: int = 0         # executed as a fused-group rider
     sim_seconds: float = 0.0    # compute spent executing jobs
     saved_seconds: float = 0.0  # recorded compute answered from cache
 
@@ -304,36 +303,23 @@ class ExecutionEngine:
         return self.run_jobs([job])[0]
 
     def _execute(self, pending: Dict[str, SimJob]) -> None:
-        if batch_enabled() and len(pending) > 1:
+        if len(pending) > 1:
             self._execute_batched(pending)
             return
-        items = list(pending.items())
-        if self.jobs > 1 and len(items) > 1:
-            # Dispatch in trace order so one worker's chunk reuses the
-            # trace its previous job just built instead of every worker
-            # racing to build the same partition (the submission order
-            # is restored by digest when results are memoized).
-            items.sort(key=lambda kv: self._trace_key(kv[1]))
-            if self._pool is None:
-                self._prewarm_traces([job for _, job in items])
-            # Worker processes carry their own (disabled) telemetry —
-            # `netsparse profile` therefore always runs serial.
-            pool = self._ensure_pool()
-            outcomes = pool.map(timed_execute, [job for _, job in items],
-                                chunksize=1)
-        else:
-            outcomes = (self._timed_instrumented(job) for _, job in items)
-        for (digest, job), (result, elapsed) in zip(items, outcomes):
-            self._note_executed(digest, job, result, elapsed)
+        [(digest, job)] = pending.items()
+        result, elapsed = self._timed_instrumented(job)
+        self._note_executed(digest, job, result, elapsed)
 
     def _execute_batched(self, pending: Dict[str, SimJob]) -> None:
-        """Planner path: evaluate fused groups (``REPRO_BATCH=1``).
+        """Planner path: evaluate fused groups.
 
         Each group's members run back-to-back — in one pool worker, or
-        consecutively on the serial path — so the cluster model's batch
-        memos fold their shared stages.  Results are identical to the
-        per-job path; only attribution (``source="batched"`` for group
-        riders) and wall time differ.
+        consecutively on the serial path — so the cluster model's stage
+        memos fold their shared stages.  Results are identical to
+        evaluating each job on its own; only attribution
+        (``source="batched"`` for group riders) and wall time differ.
+        Worker processes carry their own (disabled) telemetry —
+        `netsparse profile` therefore always runs serial.
         """
         digest_of = {job: digest for digest, job in pending.items()}
         plan = plan_batches(list(pending.values()))

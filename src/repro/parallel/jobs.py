@@ -209,7 +209,7 @@ def execute_job(job: SimJob):
 
 
 def timed_execute(job: SimJob):
-    """``(result, elapsed_seconds)`` — the pool task the engine maps."""
+    """``(result, elapsed_seconds)`` — the unit the engine runs per job."""
     t0 = time.perf_counter()
     result = execute_job(job)
     return result, time.perf_counter() - t0

@@ -7,9 +7,9 @@ produced a row before trusting it.  Every write therefore stamps:
 - ``code_salt`` — the simulator-semantics version
   (:data:`repro.parallel.jobs.CODE_SALT`), the same salt already folded
   into every job digest;
-- ``kernel_tier`` — the active ``REPRO_KERNELS`` backend (``fast`` /
-  ``reference`` / ``pool``; bit-identical by the golden suite, recorded
-  anyway so an equivalence regression is attributable);
+- ``kernel_tier`` — the active ``REPRO_KERNELS`` backend (``fast`` or
+  ``reference``; bit-identical by the golden suite, recorded anyway so
+  an equivalence regression is attributable);
 - ``git_sha`` — the commit of the working tree, resolved once per
   process (``$REPRO_GIT_SHA`` overrides for detached deployments);
 - ``schema_version`` — the store schema the row was written under;

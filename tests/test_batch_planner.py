@@ -1,11 +1,11 @@
 """Batch planner: grouping rules, engine integration, bit-identity.
 
-The planner (:mod:`repro.parallel.batch`) may only ever change *how
-fast* a sweep evaluates, never *what* it evaluates: grouping decisions
-are pinned here, and the paper tables the ISSUE names (fig15-18,
-autotune, table8) are asserted bit-identical between ``REPRO_BATCH=1``
-(planner + fused memos) and ``REPRO_BATCH=0`` (the legacy
-every-job-from-scratch path).
+The planner (:mod:`repro.parallel.batch`) and the cluster model's
+stage memos may only ever change *how fast* a sweep evaluates, never
+*what* it evaluates: grouping decisions are pinned here, and the
+sweep tables (fig15-18, autotune, table8) are asserted bit-identical
+between a warm run (planner + memos shared across the sweep) and a
+cold run that clears every stage memo before each job.
 """
 
 from __future__ import annotations
@@ -15,10 +15,9 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro.cluster import reset_batch_state
+from repro.cluster import batch_stats, reset_batch_state
 from repro.config import NetSparseConfig
 from repro.core.autotune import tune_rig_batch
-from repro.core.batchmode import use_batch
 from repro.experiments import run_experiment
 from repro.parallel import (
     ExecutionEngine,
@@ -26,6 +25,7 @@ from repro.parallel import (
     engine_scope,
     simulate_many,
 )
+from repro.parallel import jobs as jobs_module
 from repro.parallel.batch import execute_group, group_key, plan_batches
 from repro.parallel.jobs import timed_execute
 
@@ -42,6 +42,33 @@ def _job(**overrides) -> SimJob:
 
 def _cfg(**overrides) -> NetSparseConfig:
     return dataclasses.replace(NetSparseConfig(), **overrides)
+
+
+def _memo_hits() -> int:
+    return sum(s["hits"] for name, s in batch_stats().items()
+               if name != "profile")
+
+
+def _cold_per_job(monkeypatch) -> list:
+    """Make every job start from empty stage memos.
+
+    This is the reference leg of the memos-are-transparent contract:
+    each job replays every stage from scratch.  Returns the list that
+    each job appends its ``(whole-simulation memo hits, all memo hits)``
+    to, so a test can check that no job was answered by a memo and
+    that a warm run reused more than any single job does.
+    """
+    hits = []
+    original = jobs_module.execute_job
+
+    def cold(job):
+        reset_batch_state()
+        result = original(job)
+        hits.append((batch_stats()["sims"]["hits"], _memo_hits()))
+        return result
+
+    monkeypatch.setattr(jobs_module, "execute_job", cold)
+    return hits
 
 
 def _assert_identical(a, b):
@@ -147,43 +174,48 @@ class TestEngineIntegration:
         return [_job(matrix=m, k=k)
                 for m in ("queen", "europe") for k in (16, 64, 128)]
 
-    def _run(self, mode, jobs=None):
+    def _run(self, jobs=None):
         reset_batch_state()
-        with use_batch(mode):
-            with engine_scope(ExecutionEngine()) as eng:
-                results = simulate_many(jobs or self._grid())
-                stats = eng.stats
+        with engine_scope(ExecutionEngine()) as eng:
+            results = simulate_many(jobs or self._grid())
+            stats = eng.stats
         return results, stats
 
-    def test_batched_results_match_legacy_bitwise(self):
-        fast, fast_stats = self._run(True)
-        slow, slow_stats = self._run(False)
-        for a, b in zip(fast, slow):
+    def test_batched_results_match_legacy_bitwise(self, monkeypatch):
+        """The planner's warm groups equal the legacy evaluation: each
+        job from empty stage memos."""
+        warm, warm_stats = self._run()
+        warm_hits = _memo_hits()
+        per_job = _cold_per_job(monkeypatch)
+        cold, _ = self._run()
+        assert len(per_job) == 6
+        assert not any(sims for sims, _ in per_job), "a cold job hit a memo"
+        assert warm_hits > sum(hits for _, hits in per_job), (
+            "the warm leg reused nothing across jobs")
+        for a, b in zip(warm, cold):
             _assert_identical(a, b)
         # The planner really ran: group riders carry batched
-        # attribution; the legacy leg never does.
-        assert fast_stats.batched == 4   # 2 groups of 3 -> 2x2 riders
-        assert slow_stats.batched == 0
-        assert fast_stats.executed == slow_stats.executed == 6
+        # attribution.
+        assert warm_stats.batched == 4   # 2 groups of 3 -> 2x2 riders
+        assert warm_stats.executed == 6
 
     def test_single_job_skips_planner(self):
-        results, stats = self._run(True, jobs=[_job()])
+        results, stats = self._run(jobs=[_job()])
         assert len(results) == 1
         assert stats.batched == 0
 
     def test_batched_counter_in_summary(self):
-        _, stats = self._run(True)
+        _, stats = self._run()
         assert "batched=4" in stats.summary()
         assert stats.as_dict()["batched"] == 4
 
     def test_parallel_groups_match_serial(self, tmp_path):
         jobs = self._grid()
         reset_batch_state()
-        with use_batch(True), engine_scope(ExecutionEngine()) as eng:
+        with engine_scope(ExecutionEngine()) as eng:
             serial = simulate_many(jobs)
         reset_batch_state()
-        with use_batch(True), \
-                engine_scope(ExecutionEngine(jobs=2)) as eng:
+        with engine_scope(ExecutionEngine(jobs=2)) as eng:
             parallel = simulate_many(jobs)
             assert eng.stats.batched > 0
         for a, b in zip(serial, parallel):
@@ -240,7 +272,7 @@ class TestTraceCacheContention:
         cache.get_partition(mat, 4)
         assert cache.contended_builds == 0
         # A second miss while a build for the same key is in flight is
-        # the contention the engine's trace-ordered dispatch avoids.
+        # the contention the engine's trace prewarming avoids.
         key = (mat.structural_digest(), 8, "rows")
         cache._building.add(key)
         cache.get_partition(mat, 8)
@@ -253,13 +285,21 @@ class TestTraceCacheContention:
 @pytest.mark.parametrize(
     "exp_id", ["fig15", "fig16", "fig17", "fig18", "autotune", "table8"]
 )
-def test_experiment_bit_identical_across_modes(exp_id):
-    """The ISSUE's acceptance bar: each sweep's full table is
-    bit-identical with the planner on and off."""
-    tables = {}
-    for mode in (True, False):
-        reset_batch_state()
-        with use_batch(mode), engine_scope(ExecutionEngine()):
-            tables[mode] = run_experiment(exp_id, scale="tiny")
-    assert tables[True].columns == tables[False].columns
-    assert tables[True].rows == tables[False].rows
+def test_experiment_bit_identical_across_modes(exp_id, monkeypatch):
+    """Each sweep's full table is bit-identical between a warm run
+    (planner + stage memos shared across the sweep) and a cold run
+    that clears every stage memo before each job."""
+    reset_batch_state()
+    with engine_scope(ExecutionEngine()):
+        warm = run_experiment(exp_id, scale="tiny")
+    warm_hits = _memo_hits()
+
+    per_job = _cold_per_job(monkeypatch)
+    with engine_scope(ExecutionEngine()):
+        cold = run_experiment(exp_id, scale="tiny")
+    assert per_job, f"{exp_id}: the cold leg ran no job"
+    assert not any(sims for sims, _ in per_job), "a cold job hit a memo"
+    assert warm_hits > sum(hits for _, hits in per_job), (
+        f"{exp_id}: the warm leg reused nothing across jobs")
+    assert warm.columns == cold.columns
+    assert warm.rows == cold.rows

@@ -5,7 +5,7 @@ import pytest
 
 from repro.config import FeatureFlags, NetSparseConfig
 from repro.cluster import build_cluster_topology, simulate_netsparse
-from repro.cluster.model import _DelayedInsertCache
+from repro.cluster.model import DelayedInsertCache
 from repro.core.pcache import PropertyCache
 from repro.sparse.suite import load_benchmark
 
@@ -64,6 +64,18 @@ def test_deterministic(arabic_tiny):
 def test_scale_validation(arabic_tiny):
     with pytest.raises(ValueError):
         simulate_netsparse(arabic_tiny, 16, CFG16, topo16(), scale=0.0)
+
+
+def test_partition_without_weakrefs_rejected(arabic_tiny):
+    # Stage memos are keyed on partition identity; an object that
+    # cannot be weak-referenced has none, so it must not share keys.
+    class SlottedPartition:
+        __slots__ = ("n_nodes",)
+
+    part = SlottedPartition()
+    part.n_nodes = CFG16.n_nodes
+    with pytest.raises(TypeError):
+        simulate_netsparse(arabic_tiny, 16, CFG16, topo16(), partition=part)
 
 
 def test_filtering_reduces_traffic(arabic_tiny):
@@ -151,7 +163,7 @@ class TestDelayedInsertCache:
     def make(self, delay):
         pc = PropertyCache(capacity_bytes=1 << 16, ways=4)
         pc.configure(64)
-        return _DelayedInsertCache(pc, delay)
+        return DelayedInsertCache(pc, delay)
 
     def test_immediate_reuse_misses_within_delay(self):
         front = self.make(delay=5)

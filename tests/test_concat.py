@@ -101,8 +101,9 @@ class TestWindowConcat:
 
 class TestWindowConcatTotals:
     """window_concat_totals must equal full per-dest accounting exactly
-    — it is the batch fastpath behind the cluster model's NIC-concat
-    and respond stages, so any drift would break bit-identity."""
+    — it is the production kernel behind the cluster model's
+    NIC-concat and respond stages, so any drift would break
+    bit-identity."""
 
     @settings(max_examples=200, deadline=None)
     @given(

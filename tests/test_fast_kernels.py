@@ -15,7 +15,12 @@ import os
 import numpy as np
 import pytest
 
-from repro.cluster import build_cluster_topology, simulate_netsparse
+from repro.cluster import (
+    batch_stats,
+    build_cluster_topology,
+    reset_batch_state,
+    simulate_netsparse,
+)
 from repro.cluster.model import DelayedInsertCache
 from repro.config import NetSparseConfig
 from repro.core import kernels
@@ -55,9 +60,8 @@ class TestBackendSwitch:
     def test_default_tracks_environment(self):
         assert kernels.get_backend() in kernels.BACKENDS
         assert kernels.get_backend() == _ENV_BACKEND
-        # "pool" still runs the fast kernels — only fanned out.
-        assert kernels.is_fast() == (_ENV_BACKEND != "reference")
-        assert kernels.is_pool() == (_ENV_BACKEND == "pool")
+        assert kernels.BACKENDS == ("fast", "reference")
+        assert kernels.is_fast() == (_ENV_BACKEND == "fast")
 
     def test_set_backend_returns_previous(self):
         other = "reference" if _ENV_BACKEND == "fast" else "fast"
@@ -68,12 +72,6 @@ class TestBackendSwitch:
             assert kernels.is_fast() == (other == "fast")
         finally:
             kernels.set_backend(prev)
-        assert kernels.get_backend() == _ENV_BACKEND
-
-    def test_pool_backend_is_fast(self):
-        with kernels.use_backend("pool"):
-            assert kernels.is_fast()
-            assert kernels.is_pool()
         assert kernels.get_backend() == _ENV_BACKEND
 
     def test_use_backend_restores_on_error(self):
@@ -87,6 +85,8 @@ class TestBackendSwitch:
     def test_unknown_backend_rejected(self):
         with pytest.raises(ValueError):
             kernels.set_backend("cuda")
+        with pytest.raises(ValueError):
+            kernels.set_backend("pool")
         with pytest.raises(ValueError):
             with kernels.use_backend(""):
                 pass  # pragma: no cover
@@ -327,14 +327,27 @@ def assert_results_equal(a, b):
 CFG16 = NetSparseConfig(n_nodes=16, n_racks=4, nodes_per_rack=4)
 
 
+def reference_leg(run):
+    """``run()`` under the reference kernels, from cold stage memos.
+
+    The fast leg before it ran on the same partition and topology, so
+    without the reset the reference leg would be a whole-simulation
+    memo hit and compare the fast result with itself.
+    """
+    reset_batch_state()
+    with kernels.use_backend("reference"):
+        result = run()
+    assert batch_stats()["sims"]["hits"] == 0, "reference leg hit a memo"
+    return result
+
+
 class TestModelGolden:
     @pytest.mark.parametrize("name", ["queen", "stokes"])
     def test_commresult_bit_identical(self, name):
         mat = load_benchmark(name, "tiny")
         topo = build_cluster_topology(CFG16)
         fast = simulate_netsparse(mat, 8, CFG16, topo)
-        with kernels.use_backend("reference"):
-            ref = simulate_netsparse(mat, 8, CFG16, topo)
+        ref = reference_leg(lambda: simulate_netsparse(mat, 8, CFG16, topo))
         assert_results_equal(fast, ref)
 
     def test_faulted_run_bit_identical(self):
@@ -353,8 +366,7 @@ class TestModelGolden:
             faults=plan.canonical_json(),
         )
         fast = execute_job(job)
-        with kernels.use_backend("reference"):
-            ref = execute_job(job)
+        ref = reference_leg(lambda: execute_job(job))
         assert_results_equal(fast, ref)
 
 

@@ -3,13 +3,13 @@
 Three claims, each enforced with exact equality:
 
 1. The windowed kernels (incremental cache replayer, streamed window
-   concat, the pool fan-out) are bit-identical to their one-shot twins.
+   concat) are bit-identical to their one-shot twins.
 2. Trace spill-then-reload through :class:`TraceCache` reproduces the
    original traces bit-for-bit and reports its spill telemetry.
 3. ``simulate_netsparse`` produces the same :class:`CommResult`
    regardless of storage tier (dense vs sharded) and kernel tier
-   (``fast`` / ``reference`` / ``pool``), including under the parallel
-   execution engine's process fan-out.
+   (``fast`` / ``reference``), including under the parallel execution
+   engine's process fan-out.
 """
 
 from __future__ import annotations
@@ -21,14 +21,13 @@ import pytest
 
 from repro.cluster import build_cluster_topology, simulate_netsparse
 from repro.config import NetSparseConfig
-from repro.core import kernels, poolexec
+from repro.core import kernels
 from repro.core.concat import (
     merge_concat_stats,
     window_concat,
     window_concat_stream,
 )
 from repro.core.pcache_fast import DelayedCacheReplayer, delayed_cache_hits
-from repro.core import pcache_numba
 from repro.partition import TraceCache, set_trace_cache
 from repro.parallel import ExecutionEngine, SimJob
 from repro.parallel.jobs import execute_job
@@ -109,27 +108,6 @@ class TestDelayedCacheReplayer:
         with pytest.raises(RuntimeError):
             rep.feed(np.arange(3))
 
-    @pytest.mark.parametrize("policy", ["lru", "fifo"])
-    def test_pure_python_array_kernel_golden(self, policy):
-        rng = np.random.default_rng(11)
-        idxs = rng.integers(0, 900, size=8000)
-        ref_hits, ref_stats = delayed_cache_hits(idxs, 32, 4, 24,
-                                                 policy=policy)
-        hits, (n_hits, n_ins, n_ev) = pcache_numba.replay_hits(
-            idxs, 32, 4, 24, policy
-        )
-        np.testing.assert_array_equal(hits, ref_hits)
-        assert (n_hits, n_ins, n_ev) == (
-            ref_stats.hits, ref_stats.insertions, ref_stats.evictions
-        )
-
-    def test_array_kernel_policy_support(self):
-        assert pcache_numba.supports("lru")
-        assert pcache_numba.supports("fifo")
-        assert not pcache_numba.supports("random")
-        with pytest.raises(ValueError):
-            pcache_numba.replay_hits(np.arange(4), 4, 2, 0, "random")
-
 
 # ---------------------------------------------------------------------
 # streamed window concat
@@ -152,44 +130,6 @@ class TestWindowConcatStream:
         stats = window_concat_stream([], 4, 8)
         assert stats.n_prs == stats.n_packets == 0
         assert merge_concat_stats([]).n_prs == 0
-
-
-# ---------------------------------------------------------------------
-# process-pool fan-out
-# ---------------------------------------------------------------------
-
-
-class TestPoolExec:
-    def _tasks(self, n=4):
-        rng = np.random.default_rng(17)
-        return [
-            (rng.integers(0, 1200, size=5000), 64, 4, 31 + i, "lru")
-            for i in range(n)
-        ]
-
-    def test_parallel_matches_serial(self):
-        tasks = self._tasks()
-        try:
-            parallel = poolexec.map_cache_replays(tasks)
-        finally:
-            poolexec.shutdown()
-        serial = [
-            delayed_cache_hits(i, s, w, d, policy=p)
-            for i, s, w, d, p in tasks
-        ]
-        for (ph, ps), (sh, ss) in zip(parallel, serial):
-            np.testing.assert_array_equal(ph, sh)
-            assert ps == ss
-
-    def test_disable_env_forces_serial(self, monkeypatch):
-        monkeypatch.setenv("REPRO_POOL_DISABLE", "1")
-        assert not poolexec.pool_available()
-        out = poolexec.map_cache_replays(self._tasks(2))
-        assert len(out) == 2    # serial path, still correct shape
-
-    def test_worker_count_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_POOL_JOBS", "3")
-        assert poolexec.pool_workers() == 3
 
 
 # ---------------------------------------------------------------------
@@ -265,7 +205,6 @@ class TestModelTierParity:
                 return simulate_netsparse(mat, 8, CFG16, topo)
         finally:
             set_trace_cache(prev)
-            poolexec.shutdown()
 
     @pytest.mark.parametrize("name", ["arabic", "stokes"])
     def test_commresult_invariant(self, shard_env, name):
@@ -274,8 +213,7 @@ class TestModelTierParity:
         sharded = load_benchmark(name, "tiny", sharded=True)
         ref = self._run(dense, "reference", topo)
         for mat in (dense, sharded):
-            for backend in ("fast", "pool"):
-                assert_results_equal(self._run(mat, backend, topo), ref)
+            assert_results_equal(self._run(mat, "fast", topo), ref)
 
 
 # ---------------------------------------------------------------------
