@@ -15,15 +15,20 @@ Every session additionally appends to the repo's perf trajectory: a
 machine-readable ``BENCH_<date>.json`` (per-experiment wall time plus
 key table metrics) is written at session end — to the repository root
 by default, or ``$REPRO_BENCH_OUT`` — so run-over-run regressions
-inside the pipeline are diffable, not just eyeballable.
+inside the pipeline are diffable, not just eyeballable.  Each snapshot
+also carries ``host_calib_s``, a fixed numpy probe timed at session
+start and end, so ``scripts/bench_compare.py`` can tell a slower host
+from a slower program.
 """
 
 import json
 import os
 import platform
 import resource
+import statistics
 import time
 
+import numpy as np
 import pytest
 
 SCALE = os.environ.get("REPRO_BENCH_SCALE", "small")
@@ -46,6 +51,28 @@ def record_block(name: str, data: dict) -> None:
     service benchmark's latency/throughput/coalesce report, for
     example.  Re-registering a name overwrites it."""
     _BENCH_EXTRA[str(name)] = data
+
+
+#: Host probe medians (seconds): one at session start, one at the end.
+_HOST_CALIB = []
+
+
+def host_probe_s() -> float:
+    """Median of three timed runs of a fixed numpy workload (sorting
+    half a million seeded integers, the kind of work the trace model
+    does)."""
+    data = np.random.default_rng(0).integers(0, 1 << 30, size=1 << 19)
+    runs = []
+    for _ in range(3):
+        t0 = time.perf_counter()
+        np.unique(data, return_counts=True)
+        np.argsort(data, kind="stable")
+        runs.append(time.perf_counter() - t0)
+    return statistics.median(runs)
+
+
+def pytest_sessionstart(session):
+    _HOST_CALIB.append(host_probe_s())
 
 
 @pytest.fixture(scope="session")
@@ -120,6 +147,9 @@ def pytest_sessionfinish(session, exitstatus):
         "total_wall_s": round(sum(r["wall_s"] for r in _BENCH_RECORDS), 3),
         "results": sorted(_BENCH_RECORDS, key=lambda r: r["test"]),
     }
+    _HOST_CALIB.append(host_probe_s())
+    payload["host_calib_s"] = round(statistics.mean(_HOST_CALIB), 4)
+    payload["host_calib_runs_s"] = [round(x, 4) for x in _HOST_CALIB]
     memory = {"peak_rss_mb": peak_rss_mb()}
     try:
         from repro.partition import get_trace_cache

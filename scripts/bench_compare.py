@@ -28,6 +28,12 @@ to prevent.  Tests present in one snapshot but not the other are
 reported informationally.  Snapshots at different
 ``REPRO_BENCH_SCALE`` settings are never compared (neither walls nor
 peak RSS are commensurable across scales).
+
+When both snapshots carry ``host_calib_s`` (a fixed numpy probe the
+benchmark session times at its start and end), every wall is divided
+by its snapshot's calibration before the delta is taken, so a run on a
+uniformly slower host is not reported as a regression.  The ratio of
+the two calibrations is printed.
 """
 
 from __future__ import annotations
@@ -121,13 +127,26 @@ def compare(base_path: str, new_path: str, threshold: float,
         print("scales differ -- refusing to compare wall times")
         return []
 
+    base_cal = base_meta.get("host_calib_s")
+    new_cal = new_meta.get("host_calib_s")
+    unit = "s"
+    if base_cal and new_cal:
+        print(f"host calibration: {base_cal:.4f}s -> {new_cal:.4f}s "
+              f"(x{new_cal / base_cal:.2f}); walls divided by it")
+        base = {t: w / base_cal for t, w in base.items()}
+        new = {t: w / new_cal for t, w in new.items()}
+        unit = "cal"
+    else:
+        print("host calibration: not recorded on both sides -- raw walls")
+
     regressions = []
     shared = sorted(set(base) & set(new))
     if not shared:
         print("no tests in common")
         return compare_memory(base_meta, new_meta, mem_threshold, annotate)
     width = max(len(short_name(t)) for t in shared)
-    print(f"{'test':<{width}}  {'base s':>8}  {'new s':>8}  {'delta':>7}")
+    print(f"{'test':<{width}}  {'base ' + unit:>8}  {'new ' + unit:>8}  "
+          f"{'delta':>7}")
     for test in shared:
         b, n = base[test], new[test]
         delta = (n - b) / b if b > 0 else 0.0
@@ -137,7 +156,7 @@ def compare(base_path: str, new_path: str, threshold: float,
             regressions.append(test)
             if annotate:
                 print(f"::warning title=bench regression::{test} "
-                      f"wall {b:.2f}s -> {n:.2f}s (+{delta:.0%})")
+                      f"wall {b:.2f}{unit} -> {n:.2f}{unit} (+{delta:.0%})")
         elif b > 0 and delta < -threshold:
             marker = "  (improved)"
         print(f"{short_name(test):<{width}}  {b:>8.3f}  {n:>8.3f}  "

@@ -34,26 +34,27 @@ Both paths are pinned against :class:`repro.core.pcache.PropertyCache`
 driven by the reference front-end in ``tests/test_reusedist.py``
 (seeds x set geometries x ways x capacities x segmented line sizes).
 
-The profile is the scoring kernel behind the batch planner
-(:mod:`repro.parallel.batch`): the cluster model's fast path builds
-one for a merged rack stream the second time a geometry is asked of
-it, and runs :func:`repro.core.pcache_fast.delayed_cache_hits`
-verbatim for the first request and for anything the profile cannot
-fold (the hit masks are identical either way — the profile only
-changes which loop produces them).
+The profile is the scoring kernel of the cluster model's cache stage
+(:mod:`repro.cluster.model`, fast kernels): it builds one for a merged
+rack stream the second time a geometry is asked of it and keeps it in
+the stage memo, so the batch planner's fused groups
+(:mod:`repro.parallel.batch`) score every later geometry from it.  The
+first request, and anything the profile cannot fold, runs
+:func:`repro.core.pcache_fast.delayed_cache_hits` verbatim (the hit
+masks are identical either way — the profile only changes which loop
+produces them).
 """
 
 from __future__ import annotations
 
 import time
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
 from repro.core.pcache_fast import delayed_cache_hits
 
-__all__ = ["StreamProfile", "build_profile", "profile_stats",
-           "reset_profile_stats", "score_many"]
+__all__ = ["StreamProfile", "profile_stats", "reset_profile_stats"]
 
 _NEVER = 1 << 62
 
@@ -108,31 +109,6 @@ class StreamProfile:
             self.first_pos = np.zeros(0, dtype=np.int64)
         _STATS["profiles_built"] += 1
         _STATS["build_seconds"] += time.perf_counter() - t0
-
-    # -- structure queries --------------------------------------------
-
-    def n_unique(self) -> int:
-        return int(self.uniq.size)
-
-    def reuse_distances(self) -> np.ndarray:
-        """Position distance to the first occurrence, for every reuse
-        (duplicate) element — the profile's telemetry-facing view."""
-        pos = np.arange(self.size, dtype=np.int64)
-        dup = pos != self.first_pos
-        return (pos - self.first_pos)[dup]
-
-    def reuse_histogram(self, bins: Sequence[int] = (1, 16, 256, 4096,
-                                                     65536)) -> Dict[str, int]:
-        """Reuse-distance counts in log-spaced buckets."""
-        dist = self.reuse_distances()
-        edges = list(bins)
-        out: Dict[str, int] = {}
-        lo = 0
-        for hi in edges:
-            out[f"<{hi}"] = int(((dist >= lo) & (dist < hi)).sum())
-            lo = hi
-        out[f">={lo}"] = int((dist >= lo).sum())
-        return out
 
     def _set_partition(
         self, n_sets: int, ways: int
@@ -246,16 +222,3 @@ class StreamProfile:
         if hit_pos:
             hits[hit_pos] = True
 
-
-def build_profile(idxs: np.ndarray) -> StreamProfile:
-    """Profile one stream (counted in ``profile_stats``)."""
-    return StreamProfile(idxs)
-
-
-def score_many(
-    profile: StreamProfile,
-    points: Sequence[Tuple[int, int, int, str]],
-) -> List[np.ndarray]:
-    """Hit masks for ``[(n_sets, ways, delay, policy), ...]`` — the
-    one-profile-many-geometries entry point the planner uses."""
-    return [profile.score(*point) for point in points]

@@ -72,6 +72,7 @@ def profile_experiment(
     """Run ``exp_id`` instrumented and write the three artifacts."""
     # Imported lazily: profile is reachable from the CLI before the
     # (heavier) experiment registry is needed.
+    from repro.cluster import reset_batch_state
     from repro.experiments import EXPERIMENTS, list_experiments
     from repro.parallel import ExecutionEngine, engine_scope
 
@@ -81,6 +82,9 @@ def profile_experiment(
             f"unknown experiment {exp_id!r}; available: {list_experiments()}"
         )
     reg = registry if registry is not None else MetricsRegistry()
+    # Start from cold stage memos, as a fresh `netsparse profile`
+    # process does, so every stage span and counter is recorded.
+    reset_batch_state()
     with engine_scope(ExecutionEngine(jobs=1, cache=None)):
         with telemetry_scope(reg):
             with reg.span(f"profile.{exp_id}", scale=scale):

@@ -1,11 +1,14 @@
 """Tests for the NetSparse cluster model."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
 from repro.config import FeatureFlags, NetSparseConfig
 from repro.cluster import build_cluster_topology, simulate_netsparse
-from repro.cluster.model import DelayedInsertCache
+from repro.cluster.model import DelayedInsertCache, StageMemo
 from repro.core.pcache import PropertyCache
 from repro.sparse.suite import load_benchmark
 
@@ -76,6 +79,39 @@ def test_partition_without_weakrefs_rejected(arabic_tiny):
     part.n_nodes = CFG16.n_nodes
     with pytest.raises(TypeError):
         simulate_netsparse(arabic_tiny, 16, CFG16, topo16(), partition=part)
+
+
+def test_stage_memo_consistent_under_threads():
+    # Eight threads share one memo small enough to evict constantly:
+    # every value matches its key, no hit or miss is lost, and the byte
+    # total never drifts from the entries held.
+    memo = StageMemo(budget_bytes=4000)
+    wrong = []
+
+    def worker(seed):
+        rng = np.random.default_rng(seed)
+        for key in rng.integers(0, 64, size=2000).tolist():
+            got = memo.get_or_compute("hits", key, lambda: key * 3, 100)
+            if got != key * 3:
+                wrong.append((key, got))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(seed,))
+                   for seed in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not wrong
+    stats = memo.stats()["hits"]
+    assert stats["hits"] + stats["misses"] == 8 * 2000
+    assert stats["bytes"] == 100 * stats["entries"] <= 4000
+    assert memo._bytes == stats["bytes"]
 
 
 def test_filtering_reduces_traffic(arabic_tiny):

@@ -341,13 +341,41 @@ def reference_leg(run):
     return result
 
 
+def _memo_hits() -> int:
+    return sum(s["hits"] for name, s in batch_stats().items()
+               if name != "profile")
+
+
 class TestModelGolden:
-    @pytest.mark.parametrize("name", ["queen", "stokes"])
-    def test_commresult_bit_identical(self, name):
+    @pytest.mark.parametrize("name,config", [
+        pytest.param("queen", CFG16, id="queen"),
+        pytest.param("stokes", CFG16, id="stokes"),
+        # A cache small enough that the hits depend on the delayed
+        # insert: tiny stokes gets 833 hits at cache_inflight_frac 0.03
+        # and 858 at 0.09 (the two above get the same hits either way).
+        pytest.param("stokes", dataclasses.replace(CFG16,
+                                                   pcache_bytes=1 << 16),
+                     id="stokes-pcache64k"),
+    ])
+    def test_commresult_bit_identical(self, name, config):
         mat = load_benchmark(name, "tiny")
+        topo = build_cluster_topology(config)
+        fast = simulate_netsparse(mat, 8, config, topo)
+        ref = reference_leg(lambda: simulate_netsparse(mat, 8, config, topo))
+        assert_results_equal(fast, ref)
+
+    def test_reference_never_reads_fast_entries(self):
+        # Same objects, no reset between the legs: the stage memo keys
+        # carry the kernel backend, so the reference leg recomputes.
+        mat = load_benchmark("queen", "tiny")
         topo = build_cluster_topology(CFG16)
-        fast = simulate_netsparse(mat, 8, CFG16, topo)
-        ref = reference_leg(lambda: simulate_netsparse(mat, 8, CFG16, topo))
+        reset_batch_state()
+        with kernels.use_backend("fast"):
+            fast = simulate_netsparse(mat, 8, CFG16, topo)
+        hits = _memo_hits()
+        with kernels.use_backend("reference"):
+            ref = simulate_netsparse(mat, 8, CFG16, topo)
+        assert _memo_hits() == hits, "reference leg read a fast entry"
         assert_results_equal(fast, ref)
 
     def test_faulted_run_bit_identical(self):

@@ -20,10 +20,8 @@ from repro.core.pcache import PropertyCache, n_sets_for
 from repro.core.pcache_fast import delayed_cache_hits, property_cache_hits
 from repro.core.reusedist import (
     StreamProfile,
-    build_profile,
     profile_stats,
     reset_profile_stats,
-    score_many,
 )
 
 POLICIES = PropertyCache.POLICIES
@@ -64,18 +62,18 @@ class TestScoreGolden:
             np.testing.assert_array_equal(got, want)
 
     def test_one_profile_many_geometries(self):
-        """The planner's actual usage: score a whole knob grid from one
-        profile, never rebuilding, never cross-contaminating."""
+        """The cluster model's actual usage: score a whole knob grid
+        from one profile, never rebuilding, never cross-contaminating."""
         rng = np.random.default_rng(42)
         stream = make_stream(rng, 512)
-        prof = build_profile(stream)
+        prof = StreamProfile(stream)
         points = [(n_sets, ways, delay, policy)
                   for n_sets in (1, 7, 32, 1024)
                   for ways in (1, 4, 16)
                   for delay in (0, 5, 100)
                   for policy in POLICIES]
-        masks = score_many(prof, points)
-        for (n_sets, ways, delay, policy), got in zip(points, masks):
+        for n_sets, ways, delay, policy in points:
+            got = prof.score(n_sets, ways, delay, policy)
             want = delayed_cache_hits(stream, n_sets, ways, delay,
                                       policy=policy)[0]
             np.testing.assert_array_equal(got, want)
@@ -85,7 +83,6 @@ class TestScoreGolden:
     def test_empty_stream(self):
         prof = StreamProfile(np.array([], dtype=np.int64))
         assert prof.score(8, 2, 3).size == 0
-        assert prof.n_unique() == 0
 
     def test_zero_sets(self):
         stream = np.arange(10) % 3
@@ -133,7 +130,7 @@ class TestScoringPaths:
 
     def test_counters_accumulate(self):
         reset_profile_stats()
-        prof = build_profile(np.arange(100) % 10)
+        prof = StreamProfile(np.arange(100) % 10)
         prof.score(16, 4, 1)
         prof.score(16, 4, 2)
         stats = profile_stats()
@@ -171,19 +168,3 @@ class TestCapacitySweepGolden:
         want_ref = DelayedInsertCache(pc, delay).process(stream)
         np.testing.assert_array_equal(got, want_ref)
 
-
-class TestProfileStructure:
-    def test_reuse_distances(self):
-        prof = StreamProfile(np.array([5, 3, 5, 5, 3]))
-        # reuses: pos2 (d=2), pos3 (d=3), pos4 (d=3)
-        np.testing.assert_array_equal(sorted(prof.reuse_distances()),
-                                      [2, 3, 3])
-
-    def test_reuse_histogram_partitions_all_reuses(self):
-        rng = np.random.default_rng(3)
-        prof = StreamProfile(rng.integers(0, 50, size=400))
-        hist = prof.reuse_histogram()
-        assert sum(hist.values()) == prof.reuse_distances().size
-
-    def test_n_unique(self):
-        assert StreamProfile(np.array([1, 1, 2, 9])).n_unique() == 3

@@ -349,11 +349,12 @@ def _load_bench_compare():
     return mod
 
 
-def _snapshot(stamp, wall):
+def _snapshot(stamp, wall, **extra):
     return json.dumps({
         "schema": "repro.bench/v1", "timestamp": stamp, "scale": "tiny",
         "results": [{"test": "benchmarks/t.py::test_a", "wall_s": wall}],
         "memory": {"peak_rss_mb": 100.0},
+        **extra,
     }).encode("utf-8")
 
 
@@ -371,6 +372,21 @@ def test_bench_compare_from_store(tmp_path, capsys):
     assert "REGRESSION" in out
     # --strict surfaces the regression as a failure exit.
     assert bc.main(["--from-store", dsn, "--strict"]) == 1
+
+
+def test_bench_compare_divides_by_host_calibration(tmp_path, capsys):
+    # A uniform 1.6x slowdown on a host whose probe is 1.6x slower is
+    # the host, not the program: nothing is flagged.
+    bc = _load_bench_compare()
+    base, new = tmp_path / "BENCH_a.json", tmp_path / "BENCH_b.json"
+    base.write_bytes(_snapshot("2026-08-07T01:00:00", 1.0,
+                               host_calib_s=0.1))
+    new.write_bytes(_snapshot("2026-08-08T01:00:00", 1.6,
+                              host_calib_s=0.16))
+    assert bc.main([str(tmp_path), "--strict"]) == 0
+    out = capsys.readouterr().out
+    assert "REGRESSION" not in out
+    assert "x1.60" in out
 
 
 def test_bench_compare_from_store_no_baseline(tmp_path, capsys):

@@ -194,6 +194,28 @@ class TestBitIdentical:
                 "cluster.stage.respond",
                 "cluster.stage.timing"} <= stage_spans
 
+    def test_memo_hit_counts_like_a_miss(self):
+        # The second call reads the first one's traffic-stage memo
+        # entry, yet records the same pipeline counters.  (The trace
+        # cache's own counters differ: only the first call builds.)
+        from repro.cluster import (batch_stats, build_cluster_topology,
+                                   reset_batch_state, simulate_netsparse)
+
+        mat = load_benchmark("queen", "tiny")
+        cfg = NetSparseConfig()
+        topo = build_cluster_topology(cfg)
+        reset_batch_state()
+        counts = []
+        for _ in range(2):
+            with telemetry_scope() as reg:
+                simulate_netsparse(mat, 16, cfg, topo)
+            counts.append({
+                name: c.value for name, c in reg.counters.items()
+                if name.startswith(("cluster.", "pcache.", "concat."))})
+        assert batch_stats()["sims"]["hits"] == 1
+        assert counts[0] == counts[1]
+        assert counts[0]["pcache.lookups"] > 0
+
     def test_des_gather_identical_with_and_without_telemetry(self):
         from repro.dessim import run_des_gather
 
